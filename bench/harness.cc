@@ -262,8 +262,6 @@ void WriteBenchJson(const std::string& path,
     w.Field("recovery_ns", r.recovery_ns);
     w.Field("drifts", r.drifts);
     w.Field("swaps", r.swaps);
-    w.Field("workers", r.workers);
-    w.Field("samples_per_hour", r.samples_per_hour);
     w.EndObject();
     out << "  " << w.str() << (i + 1 < records.size() ? "," : "") << "\n";
   }

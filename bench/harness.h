@@ -142,11 +142,6 @@ struct MicroBenchRecord {
   double recovery_ns = 0.0;
   double drifts = 0.0;
   double swaps = 0.0;
-  /// Sharded-collection fields (BENCH_PR10.json): worker-process count of
-  /// the measured run and sustained labeled-sample throughput. 0 on
-  /// non-shard records.
-  double workers = 0.0;
-  double samples_per_hour = 0.0;
 };
 
 /// Writes `records` to `path` as a JSON array of flat objects.

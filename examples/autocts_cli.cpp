@@ -3,15 +3,14 @@
 //   pretrain   pre-train a T-AHC on synthetic source tasks and save a
 //              checkpoint:
 //                autocts_cli pretrain --ckpt /tmp/my_tahc [--tasks 8] \
-//                    [--checkpoint-dir /tmp/ckpt] [--resume] [--workers 4]
+//                    [--checkpoint-dir /tmp/ckpt] [--resume]
 //              --checkpoint-dir makes every pipeline stage persist its
 //              progress (per-sample label fates, encoder/T-AHC parameters,
 //              RNG state); --resume restarts a killed run from the last
-//              completed sample with bit-identical results. --workers N
-//              (default AUTOCTS_SHARD_WORKERS) fans sample collection out
-//              over N forked worker processes with a work-stealing socket
-//              coordinator; the sample bank and the trained T-AHC are
-//              bit-identical at any worker count.
+//              completed sample with bit-identical results. Sample
+//              collection runs on AUTOCTS_NUM_THREADS work-item threads;
+//              the sample bank and the trained T-AHC are bit-identical at
+//              any thread count.
 //   search     zero-shot search on a dataset (named synthetic or CSV):
 //                autocts_cli search --ckpt /tmp/my_tahc --dataset PEMS-BAY \
 //                    --p 24 --q 24 [--csv path.csv] [--single]
@@ -50,7 +49,7 @@
 //              knob, parsed once at startup) plus the resolved kernel
 //              backend, as one JSON object. `--print-config` also works.
 //   stats      print the process RuntimeStats snapshot (kernel dispatch,
-//              serve, shard, and fault-tolerance counter families) as one
+//              serve, and fault-tolerance counter families) as one
 //              JSON object — print-config's sibling for "what did this
 //              process actually do?".
 #include <algorithm>
@@ -66,7 +65,6 @@
 #include "common/runtime_config.h"
 #include "common/runtime_stats.h"
 #include "comparator/bank_file.h"
-#include "shard/shard.h"
 #include "core/autocts.h"
 #include "tensor/backend.h"
 #include "data/csv_loader.h"
@@ -141,8 +139,6 @@ int Pretrain(const std::map<std::string, std::string>& flags) {
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   options.checkpoint.dir = StrFlag(flags, "checkpoint-dir", "");
   options.checkpoint.resume = flags.count("resume") > 0;
-  options.num_shard_workers =
-      IntFlag(flags, "workers", GlobalRuntimeConfig().shard_workers);
   std::string ckpt = StrFlag(flags, "ckpt", "./autocts_cli");
   std::vector<ForecastTask> sources;
   Rng rng(static_cast<uint64_t>(IntFlag(flags, "seed", 97)));
@@ -175,16 +171,6 @@ int Pretrain(const std::map<std::string, std::string>& flags) {
     for (const std::string& reason : rb.quarantine_reasons) {
       std::cout << "  quarantined: " << reason << "\n";
     }
-  }
-  if (options.num_shard_workers > 1) {
-    const ShardStats shard = CurrentShardStats();
-    std::cout << "sharded collection: " << shard.shards_done << "/"
-              << shard.shards_total << " shards done (" << shard.shards_resumed
-              << " resumed, " << shard.shards_stolen << " stolen, "
-              << shard.shards_reclaimed << " reclaimed), "
-              << shard.worker_restarts << " worker restarts, "
-              << shard.bytes_in << "B in / " << shard.bytes_out
-              << "B out on the coordinator socket\n";
   }
   Status saved = framework.SaveCheckpoint(ckpt);
   if (!saved.ok()) {
@@ -623,8 +609,8 @@ int PrintConfig() {
   return 0;
 }
 
-/// Dumps the process counter families (kernel dispatch, serve, shard,
-/// fault tolerance) as one JSON object — print-config's sibling: config is
+/// Dumps the process counter families (kernel dispatch, serve, fault
+/// tolerance) as one JSON object — print-config's sibling: config is
 /// what the process was told, stats is what it did.
 int PrintStats() {
   std::cout << RuntimeStats::Snapshot().ToJson() << "\n";

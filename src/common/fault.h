@@ -46,30 +46,9 @@ enum class FaultPoint : int {
   /// model" guarantee — the old model serves every tick until a full
   /// replacement is installed atomically.
   kStreamSwapStall = 5,
-  /// A sharded-collection process dies with SIGKILL semantics. Addressed by
-  /// the worker's spawn ordinal (0 = first worker forked): the worker probes
-  /// before committing each sample and _exit(137)s when it fires, leaving
-  /// its shard bank exactly as a real kill would. Address
-  /// `kShardCoordinatorAddress` is probed by the coordinator after each
-  /// shard completes and throws InjectedKill there instead, modelling a
-  /// coordinator crash the next run resumes from.
-  kShardWorkerKill = 6,
-  /// A frame on the coordinator/worker socket is corrupted in flight: the
-  /// sender flips one payload byte after computing the CRC, so the receiver
-  /// sees a checksum mismatch and treats the peer as dead. Addressed by the
-  /// sending actor's shard identity — a worker's spawn ordinal or
-  /// kShardCoordinatorAddress (see SetFrameFaultAddress in
-  /// common/socketio.h); the fires budget bounds how many frames that
-  /// actor corrupts. Armed state is inherited across fork.
-  kShardMsgCorrupt = 7,
 };
 
-inline constexpr int kNumFaultPoints = 8;
-
-/// The pseudo-ordinal that addresses the coordinator process at
-/// kShardWorkerKill probes (workers use their real spawn ordinals >= 0;
-/// kAnyAddress = -1 is taken).
-inline constexpr int64_t kShardCoordinatorAddress = -2;
+inline constexpr int kNumFaultPoints = 6;
 
 /// Thrown by the kill points to model a process death the enclosing test
 /// observes without actually losing the process. Everything written to disk

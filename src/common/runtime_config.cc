@@ -108,21 +108,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     if (end != env && n >= 0) cfg.stream_research_delay = static_cast<int>(n);
   }
   cfg.stream_recovery = !DisableFlagSet("AUTOCTS_STREAM_NO_RECOVERY");
-  if (const char* env = std::getenv("AUTOCTS_SHARD_WORKERS")) {
-    // 0 legitimately means "no sharding", so unparseable input must be told
-    // apart from a parsed zero.
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) cfg.shard_workers = static_cast<int>(n);
-  }
-  if (const char* env = std::getenv("AUTOCTS_SHARD_HEARTBEAT_MS")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.shard_heartbeat_ms = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SHARD_STEAL_TIMEOUT_MS")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.shard_steal_timeout_ms = n;
-  }
   if (const char* env = std::getenv("AUTOCTS_SERVE_EMBED_CACHE")) {
     // 0 legitimately disables caching, so unparseable input must be told
     // apart from a parsed zero.
@@ -163,9 +148,6 @@ std::string RuntimeConfig::ToJson() const {
   w.Field("stream_research_deadline", stream_research_deadline);
   w.Field("stream_research_delay", stream_research_delay);
   w.Field("stream_recovery", stream_recovery);
-  w.Field("shard_workers", shard_workers);
-  w.Field("shard_heartbeat_ms", shard_heartbeat_ms);
-  w.Field("shard_steal_timeout_ms", shard_steal_timeout_ms);
   w.EndObject();
   return w.str();
 }

@@ -100,16 +100,6 @@ struct RuntimeConfig {
   /// AUTOCTS_STREAM_NO_RECOVERY=1 disables drift-triggered re-search and
   /// hot-swap; the detector still counts drifts (degraded-baseline mode).
   bool stream_recovery = true;
-  /// AUTOCTS_SHARD_WORKERS: worker processes for sharded sample collection
-  /// (0 or 1 = collect in-process, no coordinator; the CLI --workers flag
-  /// overrides).
-  int shard_workers = 0;
-  /// AUTOCTS_SHARD_HEARTBEAT_MS: how often an idle-but-training worker is
-  /// expected to report progress to the coordinator.
-  int shard_heartbeat_ms = 250;
-  /// AUTOCTS_SHARD_STEAL_TIMEOUT_MS: silence on a worker's channel after
-  /// which its in-flight shard becomes stealable by an idle worker.
-  int shard_steal_timeout_ms = 10000;
 
   /// Parses every knob from the environment. Unparseable values keep their
   /// defaults (matching the historical per-site getenv behaviour).

@@ -9,7 +9,6 @@ namespace {
 
 std::atomic<BackendStatsProvider> g_backend_provider{nullptr};
 std::atomic<ServeStatsProvider> g_serve_provider{nullptr};
-std::atomic<ShardStatsProvider> g_shard_provider{nullptr};
 
 }  // namespace
 
@@ -19,10 +18,6 @@ void RegisterBackendStatsProvider(BackendStatsProvider provider) {
 
 void RegisterServeStatsProvider(ServeStatsProvider provider) {
   g_serve_provider.store(provider, std::memory_order_release);
-}
-
-void RegisterShardStatsProvider(ShardStatsProvider provider) {
-  g_shard_provider.store(provider, std::memory_order_release);
 }
 
 RuntimeStats RuntimeStats::Snapshot() {
@@ -37,9 +32,6 @@ RuntimeStats RuntimeStats::Snapshot() {
   }
   if (ServeStatsProvider p = g_serve_provider.load(std::memory_order_acquire)) {
     s.serve = p();
-  }
-  if (ShardStatsProvider p = g_shard_provider.load(std::memory_order_acquire)) {
-    s.shard = p();
   }
   return s;
 }
@@ -102,20 +94,6 @@ std::string RuntimeStats::ToJson() const {
   w.Field("stream_swaps", serve.stream_swaps);
   w.Field("stream_research_failures", serve.stream_research_failures);
   w.Field("stream_swap_stalls", serve.stream_swap_stalls);
-  w.EndObject();
-  w.Key("shard");
-  w.BeginObject();
-  w.Field("runs", shard.runs);
-  w.Field("shards_total", shard.shards_total);
-  w.Field("shards_done", shard.shards_done);
-  w.Field("shards_resumed", shard.shards_resumed);
-  w.Field("shards_stolen", shard.shards_stolen);
-  w.Field("shards_reclaimed", shard.shards_reclaimed);
-  w.Field("worker_restarts", shard.worker_restarts);
-  w.Field("heartbeats", shard.heartbeats);
-  w.Field("corrupt_frames", shard.corrupt_frames);
-  w.Field("bytes_in", shard.bytes_in);
-  w.Field("bytes_out", shard.bytes_out);
   w.EndObject();
   w.EndObject();
   return w.str();

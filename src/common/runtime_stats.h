@@ -69,29 +69,6 @@ struct ServeStats {
 using ServeStatsProvider = ServeStats (*)();
 void RegisterServeStatsProvider(ServeStatsProvider provider);
 
-/// Counters of the sharded-collection coordinator (src/shard). All zeros
-/// when no sharded run has happened in the process; totals accumulate
-/// across runs. Only the coordinator process ever has nonzero values —
-/// worker processes die before anyone snapshots them.
-struct ShardStats {
-  uint64_t runs = 0;              ///< Sharded collection runs coordinated.
-  uint64_t shards_total = 0;      ///< Shards across all runs (= tasks).
-  uint64_t shards_done = 0;       ///< Shards complete (live workers + resumed).
-  uint64_t shards_resumed = 0;    ///< Of shards_done: already on disk at start.
-  uint64_t shards_stolen = 0;     ///< Reassignments from slow/live workers.
-  uint64_t shards_reclaimed = 0;  ///< Reassignments from dead workers.
-  uint64_t worker_restarts = 0;   ///< Replacement workers forked after deaths.
-  uint64_t heartbeats = 0;        ///< Progress frames received.
-  uint64_t corrupt_frames = 0;    ///< Frames dropped for CRC/framing errors.
-  uint64_t bytes_in = 0;          ///< Socket bytes received by the coordinator.
-  uint64_t bytes_out = 0;         ///< Socket bytes sent by the coordinator.
-};
-
-/// Hook shard/shard.cc installs so RuntimeStats::Snapshot() works without a
-/// common -> shard dependency (same pattern as the backend provider).
-using ShardStatsProvider = ShardStats (*)();
-void RegisterShardStatsProvider(ShardStatsProvider provider);
-
 /// One unified snapshot of every process-wide runtime counter family:
 /// buffer pool, step plans, guardrails, and the kernel-backend dispatch
 /// layer. This is THE stats surface — benches, stats dumps, and the CLI all
@@ -103,15 +80,13 @@ struct RuntimeStats {
   GuardStats guard;
   BackendStats backend;
   ServeStats serve;
-  ShardStats shard;
 
-  /// Gathers all six counter families (families whose subsystem is not
+  /// Gathers all five counter families (families whose subsystem is not
   /// linked in stay at their zero defaults).
   static RuntimeStats Snapshot();
 
   /// Nested JSON object: {"pool": {...}, "plan": {...}, "guard": {...},
-  /// "backend": {...}, "serve": {...}, "shard": {...}} via the shared
-  /// JsonWriter.
+  /// "backend": {...}, "serve": {...}} via the shared JsonWriter.
   std::string ToJson() const;
 };
 

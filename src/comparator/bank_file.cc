@@ -401,8 +401,9 @@ StatusOr<std::unique_ptr<SampleBank>> SampleBank::OpenMmapFormat(
   bank->config_hash_ = config_hash;
   bank->valid_end_ = valid_end;
   if (mode == Mode::kAppend) {
-    // The exclusive flock is what lets sharded collection hand every worker
-    // its own bank file and still catch two processes racing one path.
+    // The exclusive flock rejects a second concurrent appender (say, two
+    // `pretrain --checkpoint-dir` runs on one directory) instead of letting
+    // their frames interleave.
     StatusOr<std::shared_ptr<AppendFile>> writer =
         AppendFile::Open(path, /*exclusive=*/true);
     if (!writer.ok()) return writer.status();

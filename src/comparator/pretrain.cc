@@ -50,20 +50,6 @@ uint64_t SampleFateSignature(const LabeledSample& sample) {
                    Fnv1aHash(sample.arch_hyper.Signature()));
 }
 
-std::pair<int64_t, int64_t> CollectPlan::TaskRange(int task) const {
-  // Entries are task-major by construction, so the range is one contiguous
-  // run; a scan keeps this robust to tasks with differing sample counts.
-  int64_t first = static_cast<int64_t>(pending.size());
-  int64_t last = 0;
-  for (size_t p = 0; p < pending.size(); ++p) {
-    if (pending[p].task != task) continue;
-    first = std::min(first, static_cast<int64_t>(p));
-    last = std::max(last, static_cast<int64_t>(p) + 1);
-  }
-  if (first >= last) return {0, 0};
-  return {first, last};
-}
-
 CollectPlan PlanCollectSamples(const std::vector<ForecastTask>& tasks,
                                const JointSearchSpace& space,
                                const TaskEncoder& encoder,
@@ -83,8 +69,7 @@ CollectPlan PlanCollectSamples(const std::vector<ForecastTask>& tasks,
 
   // Serial pass: every RNG draw (embeddings, arch-hyper sampling, model
   // seeds) happens here in the exact single-threaded order, so the pending
-  // work list is independent of how it later fans out — across pool sizes
-  // and across processes rebuilding the same plan.
+  // work list is independent of how it later fans out across the pool.
   std::vector<TaskSampleSet>& out = plan.sets;
   out.resize(tasks.size());
   std::vector<std::unique_ptr<ModelTrainer>>& trainers = plan.trainers;

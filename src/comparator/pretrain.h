@@ -106,16 +106,15 @@ uint64_t TaskSectionKey(const ForecastTask& task, int windows_per_task);
 
 /// Stable signature of a sample's identity — a hash of the arch-hyper's
 /// canonical string and the shared flag. The checkpoint manifest stores it
-/// per fate (PipelineCheckpoint::SampleSignature delegates here) and the
-/// shard merge uses it to verify that a persisted fate belongs to the
-/// (task, slot) it claims before counting it.
+/// per fate (PipelineCheckpoint::SampleSignature delegates here) so resume
+/// can verify that a persisted fate belongs to the (task, slot) it claims.
 uint64_t SampleFateSignature(const LabeledSample& sample);
 
 /// One unit of deferred training work: the (task, slot) coordinates in the
 /// serial draw order, the arch-hyper to evaluate, and the model seed forked
 /// for it. The pending index of an entry in CollectPlan::pending is the
 /// canonical fault/work address used everywhere (kKillBeforeSample,
-/// kNanLoss scoping, shard assignment).
+/// kNanLoss scoping).
 struct PendingSample {
   int task = 0;
   int slot = 0;  ///< Index into the task's sample list.
@@ -127,24 +126,19 @@ struct PendingSample {
 /// The deterministic prelude of CollectSamples, materialized: every RNG
 /// draw (shared pool, preliminary embeddings, per-task arch-hypers, model
 /// seeds) already consumed in the exact single-threaded order, with the
-/// expensive trainings still pending. Because planning is cheap and
-/// bit-reproducible from (tasks, encoder, options), independent processes
-/// can each build the identical plan and train disjoint pending ranges —
-/// the seam the sharded execution layer (src/shard) is built on.
+/// expensive trainings still pending. Planning is cheap and
+/// bit-reproducible from (tasks, encoder, options); keeping it apart from
+/// training lets a caller time the two phases separately.
 struct CollectPlan {
   /// Per-task output skeletons: task + preliminary embedding filled,
   /// samples sized but unlabeled until trained.
   std::vector<TaskSampleSet> sets;
-  /// All trainings, task-major and slot-minor — entries of one task are
-  /// contiguous (see TaskRange).
+  /// All trainings, task-major and slot-minor.
   std::vector<PendingSample> pending;
   std::vector<std::unique_ptr<ModelTrainer>> trainers;  ///< One per task.
   std::vector<ForecasterSpec> specs;                    ///< One per task.
   ScaleConfig scale;
   SampleCollectionOptions options;
-
-  /// Pending-index range [first, second) holding task `t`'s samples.
-  std::pair<int64_t, int64_t> TaskRange(int task) const;
 };
 
 /// Runs the serial pass only: burns the full RNG stream, computes (or

@@ -3,14 +3,9 @@
 #include <chrono>
 #include <sstream>
 
-#include <cstdlib>
-#include <filesystem>
-
 #include "common/fault.h"
-#include "common/runtime_config.h"
 #include "data/synthetic.h"
 #include "model/searched_model.h"
-#include "shard/shard.h"
 
 namespace autocts {
 namespace {
@@ -22,10 +17,9 @@ double Seconds(std::chrono::steady_clock::time_point from) {
 
 /// Fingerprint of everything a Pretrain() run's results depend on: the
 /// options that shape RNG consumption or sample labeling, and the task
-/// identities. Deliberately excludes num_threads and num_shard_workers
-/// (results are invariant to thread and worker-process count, so a
-/// checkpoint written at -j1 must resume at 4 shard workers and vice versa)
-/// and purely cosmetic knobs.
+/// identities. Deliberately excludes num_threads (results are invariant to
+/// thread count, so a checkpoint written at -j1 must resume at -j4 and vice
+/// versa) and purely cosmetic knobs.
 uint64_t PretrainConfigHash(const AutoCtsOptions& o,
                             const std::vector<ForecastTask>& tasks) {
   std::ostringstream key;
@@ -199,46 +193,8 @@ StatusOr<PretrainReport> AutoCtsPlusPlus::TryPretrain(
   // serial draw pass is recomputed every run (cheap and deterministic), so
   // only fates need storing.
   MaybeInjectKill(FaultPoint::kKillBeforeStage, kStageSamples);
-  if (options_.num_shard_workers > 1) {
-    // Sharded collection: fork worker processes and coordinate them over
-    // sockets (DESIGN.md "Sharded pretraining"). Bit-identical to the
-    // in-process path below — the branch is a throughput choice, not a
-    // semantic one — so it shares the checkpoint hook and config hash.
-    const RuntimeConfig& rc = GlobalRuntimeConfig();
-    ShardOptions shard;
-    shard.num_workers = options_.num_shard_workers;
-    shard.worker_threads = options_.num_threads;
-    shard.config_hash = PretrainConfigHash(options_, source_tasks);
-    shard.heartbeat_ms = rc.shard_heartbeat_ms;
-    shard.steal_timeout_ms = rc.shard_steal_timeout_ms;
-    const bool scratch = options_.checkpoint.dir.empty();
-    if (scratch) {
-      // No checkpoint dir to anchor shard banks in: use a throwaway scratch
-      // directory (nothing to resume from without a checkpoint anyway).
-      std::string tmpl = (std::filesystem::temp_directory_path() /
-                          "autocts-shards-XXXXXX")
-                             .string();
-      if (::mkdtemp(tmpl.data()) == nullptr) {
-        return Status::Error("cannot create shard scratch directory");
-      }
-      shard.dir = tmpl;
-    } else {
-      shard.dir = options_.checkpoint.dir + "/shards";
-    }
-    StatusOr<std::vector<TaskSampleSet>> sets =
-        ShardedCollectSamples(source_tasks, space_, *encoder_, options_.scale,
-                              options_.collect, shard, ctx, ckpt.get());
-    if (scratch) {
-      std::error_code ec;
-      std::filesystem::remove_all(shard.dir, ec);
-    }
-    if (!sets.ok()) return sets.status();
-    collected_ = std::move(sets).value();
-  } else {
-    collected_ = CollectSamples(source_tasks, space_, *encoder_,
-                                options_.scale, options_.collect, ctx,
-                                ckpt.get());
-  }
+  collected_ = CollectSamples(source_tasks, space_, *encoder_, options_.scale,
+                              options_.collect, ctx, ckpt.get());
   if (ckpt != nullptr && ckpt->stage_done() < kStageSamples) {
     ckpt->CommitStage(kStageSamples);
   }

@@ -36,13 +36,6 @@ struct AutoCtsOptions {
   /// — and so does every other value, by the determinism contract in
   /// DESIGN.md "Threading model & determinism".
   int num_threads = 0;
-  /// Sample-collection worker *processes* (fork/exec-free fork model; see
-  /// DESIGN.md "Sharded pretraining"). `<= 1` collects in-process; larger
-  /// values fan the source tasks out over that many forked workers via the
-  /// socket coordinator — the merged sample bank and the pretrained
-  /// comparator are bit-identical either way. Excluded from the checkpoint
-  /// config hash, like num_threads.
-  int num_shard_workers = 0;
 
   /// Defaults consistent across sub-configs for a given scale preset.
   static AutoCtsOptions ForScale(const ScaleConfig& scale);

@@ -3,10 +3,15 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -20,6 +25,27 @@ namespace autocts {
 namespace serve {
 namespace {
 
+/// Wall-clock budget for reading one whole request off a connection. A
+/// client that sends nothing (or drips bytes) past it gets a 400 and its
+/// handler exits, so idle connections cannot pin handler threads for good.
+constexpr int kRequestDeadlineMs = 5000;
+
+using Clock = std::chrono::steady_clock;
+
+/// recv() that gives up at `deadline`: <= 0 on timeout, disconnect, or error.
+ssize_t RecvBefore(int fd, char* buf, size_t len, Clock::time_point deadline) {
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return -1;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) return -1;
+    return ::recv(fd, buf, len, 0);
+  }
+}
+
 /// One parsed request line + headers + body.
 struct HttpRequest {
   std::string method;
@@ -29,13 +55,15 @@ struct HttpRequest {
 };
 
 /// Reads one HTTP/1.1 request off `fd`. Returns false on malformed input,
-/// client disconnect, or an over-limit body.
+/// client disconnect, an over-limit body, or a missed kRequestDeadlineMs.
 bool ReadRequest(int fd, size_t max_body, HttpRequest* req) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(kRequestDeadlineMs);
   std::string buf;
   char chunk[4096];
   size_t header_end = std::string::npos;
   while (header_end == std::string::npos) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = RecvBefore(fd, chunk, sizeof(chunk), deadline);
     if (n <= 0) return false;
     buf.append(chunk, static_cast<size_t>(n));
     header_end = buf.find("\r\n\r\n");
@@ -69,7 +97,7 @@ bool ReadRequest(int fd, size_t max_body, HttpRequest* req) {
   if (content_length > max_body) return false;
   req->body = buf.substr(header_end + 4);
   while (req->body.size() < content_length) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = RecvBefore(fd, chunk, sizeof(chunk), deadline);
     if (n <= 0) return false;
     req->body.append(chunk, static_cast<size_t>(n));
   }
@@ -88,7 +116,10 @@ void WriteResponse(int fd, int code, const char* reason,
   const std::string out = os.str();
   size_t sent = 0;
   while (sent < out.size()) {
-    const ssize_t n = ::send(fd, out.data() + sent, out.size() - sent, 0);
+    // MSG_NOSIGNAL: a client that hung up must cost an error return, not a
+    // process-killing SIGPIPE.
+    const ssize_t n =
+        ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return;
     sent += static_cast<size_t>(n);
   }
@@ -103,8 +134,11 @@ void WriteError(int fd, int code, const char* reason,
   WriteResponse(fd, code, reason, w.str(), "application/json");
 }
 
-/// Integer query parameter `name` from "a=1&b=2", or `fallback`.
-int QueryInt(const std::string& query, const std::string& name, int fallback) {
+/// Integer query parameter `name` from "a=1&b=2" into `*out` (`fallback`
+/// when absent). Errors on a value that is not a whole base-10 int.
+Status QueryInt(const std::string& query, const std::string& name,
+                int fallback, int* out) {
+  *out = fallback;
   size_t pos = 0;
   while (pos < query.size()) {
     size_t amp = query.find('&', pos);
@@ -112,11 +146,21 @@ int QueryInt(const std::string& query, const std::string& name, int fallback) {
     const std::string kv = query.substr(pos, amp - pos);
     const size_t eq = kv.find('=');
     if (eq != std::string::npos && kv.substr(0, eq) == name) {
-      return std::atoi(kv.c_str() + eq + 1);
+      const char* text = kv.c_str() + eq + 1;
+      char* end = nullptr;
+      errno = 0;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+          v > INT_MAX) {
+        return Status::Error("query parameter '" + name +
+                             "' is not an integer in range");
+      }
+      *out = static_cast<int>(v);
+      return Status::Ok();
     }
     pos = amp + 1;
   }
-  return fallback;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -127,7 +171,9 @@ Status ParseCsvWindow(const std::string& body, RecommendRequest* request) {
   request->num_steps = 0;
   std::istringstream bs(body);
   std::string line;
+  int row = 0;
   while (std::getline(bs, line)) {
+    ++row;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     int steps = 0;
@@ -136,6 +182,13 @@ Status ParseCsvWindow(const std::string& body, RecommendRequest* request) {
       char* end = nullptr;
       const float v = std::strtof(p, &end);
       if (end == p) return Status::Error("unparseable CSV value in window");
+      // strtof accepts "nan"/"inf" (and overflows to inf); either would
+      // poison the task embedding, so reject them as csv_loader does.
+      if (!std::isfinite(v)) {
+        return Status::Error("non-finite CSV value at row " +
+                             std::to_string(row) + ", column " +
+                             std::to_string(steps));
+      }
       request->window.push_back(v);
       ++steps;
       p = end;
@@ -223,14 +276,12 @@ void HttpServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers.swap(handlers_);
+    handlers.swap(handlers_);  // Keeps each handler's iterator valid.
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (Handler& h : handlers) h.thread.join();
 }
 
 void HttpServer::AcceptLoop() {
@@ -241,19 +292,22 @@ void HttpServer::AcceptLoop() {
       continue;  // Transient (EINTR etc.).
     }
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    // Reap handlers that already finished so long-lived servers don't
-    // accumulate joinable-but-done threads... joinable threads can't be
-    // probed portably, so just bound growth: join all once past the cap
-    // (handlers are short-lived — Connection: close).
-    if (handlers_.size() > 64) {
-      for (std::thread& t : handlers_) {
-        if (t.joinable()) t.join();
+    // Reap only handlers that have finished: joining one still blocked on a
+    // slow client would stall every connection behind it.
+    for (auto it = handlers_.begin(); it != handlers_.end();) {
+      if (it->done) {
+        it->thread.join();
+        it = handlers_.erase(it);
+      } else {
+        ++it;
       }
-      handlers_.clear();
     }
-    handlers_.emplace_back([this, fd] {
+    const auto self = handlers_.emplace(handlers_.end());
+    self->thread = std::thread([this, fd, self] {
       HandleConnection(fd);
       ::close(fd);
+      std::lock_guard<std::mutex> done_lock(handlers_mu_);
+      self->done = true;
     });
   }
 }
@@ -285,11 +339,20 @@ void HttpServer::HandleConnection(int fd) {
       WriteError(fd, 400, "Bad Request", s.message());
       return;
     }
-    rec.p = QueryInt(req.query, "p", 12);
-    rec.q = QueryInt(req.query, "q", 12);
-    rec.single_step = QueryInt(req.query, "single", 0) != 0;
-    rec.top_k = QueryInt(req.query, "topk", 1);
-    rec.want_forecast = QueryInt(req.query, "forecast", 0) != 0;
+    int single = 0;
+    int forecast = 0;
+    for (const Status& q : {QueryInt(req.query, "p", 12, &rec.p),
+                            QueryInt(req.query, "q", 12, &rec.q),
+                            QueryInt(req.query, "single", 0, &single),
+                            QueryInt(req.query, "topk", 1, &rec.top_k),
+                            QueryInt(req.query, "forecast", 0, &forecast)}) {
+      if (!q.ok()) {
+        WriteError(fd, 400, "Bad Request", q.message());
+        return;
+      }
+    }
+    rec.single_step = single != 0;
+    rec.want_forecast = forecast != 0;
     StatusOr<Recommendation> result = service_->Recommend(std::move(rec));
     if (!result.ok()) {
       WriteError(fd, 422, "Unprocessable Entity", result.status().message());

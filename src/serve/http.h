@@ -2,11 +2,11 @@
 #define REPRO_SERVE_HTTP_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/status.h"
 #include "serve/service.h"
@@ -49,7 +49,8 @@ class HttpServer {
   /// Binds + listens + spawns the accept thread.
   Status Start();
 
-  /// Stops accepting, joins every handler. Idempotent.
+  /// Stops accepting, joins every handler (a handler waiting on an idle
+  /// client exits within the request read deadline). Idempotent.
   void Stop();
 
   /// The bound port (equals options.port unless it was 0 = ephemeral).
@@ -65,8 +66,14 @@ class HttpServer {
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  /// One connection-handler thread. Its last act is setting `done` under
+  /// handlers_mu_, after which joining it cannot block.
+  struct Handler {
+    std::thread thread;
+    bool done = false;
+  };
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;
 };
 
 /// Parses a CSV window body into `request` (window/num_series/num_steps).

@@ -383,7 +383,9 @@ Status RecommendationService::Validate(const RecommendRequest& r) const {
     return Status::Error("window size does not match num_series * num_steps");
   }
   if (r.p < 1 || r.q < 1) return Status::Error("p and q must be >= 1");
-  if (r.num_steps < r.p + r.q) {
+  // Written so nothing overflows (p + q can exceed INT_MAX); once it holds,
+  // p + q <= num_steps and the sums below are safe.
+  if (r.p > r.num_steps - r.q) {
     return Status::Error("window too short: num_steps must be >= p + q");
   }
   if (!r.adjacency.empty() &&

@@ -24,7 +24,6 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "model/searched_model.h"
-#include "shard/shard.h"
 
 namespace autocts {
 namespace {
@@ -779,107 +778,6 @@ TEST_F(GuardrailTest, AllFiniteBlockedFindsTheOneBadElement) {
   // false positive.
   for (auto& v : x) v = std::numeric_limits<float>::max();
   EXPECT_TRUE(AllFiniteBlocked(x.data(), static_cast<int64_t>(x.size())));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded collection under injected faults (src/shard): a worker killed
-// mid-shard and a corrupted coordinator/worker frame must both be absorbed
-// by work-stealing reclaim with a bit-identical merged bank.
-
-class ShardFaultTest : public FaultTest {
- protected:
-  void SetUp() override {
-#if defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "fork-based test skipped under TSan";
-#endif
-  }
-};
-
-/// Tiny two-task sharded collection; returns the merged-bank bytes.
-std::string CollectShardedMerged(const std::string& dir, int workers) {
-  ScaleConfig cfg = ScaleConfig::Test();
-  std::vector<ForecastTask> tasks;
-  for (const char* name : {"PEMS04", "ETTh1"}) {
-    ForecastTask t;
-    t.data = MakeSyntheticDataset(name, cfg).value();
-    t.p = 12;
-    t.q = 12;
-    tasks.push_back(t);
-  }
-  Rng rng(18);
-  MlpEncoder encoder(1, 4, &rng);
-  JointSearchSpace space;
-  SampleCollectionOptions opts;
-  opts.shared_count = 1;
-  opts.random_count = 1;
-  opts.early_validation_epochs = 1;
-  opts.windows_per_task = 2;
-  opts.train.batch_size = 2;
-  opts.train.batches_per_epoch = 2;
-  ShardOptions shard;
-  shard.num_workers = workers;
-  shard.dir = dir;
-  shard.config_hash = 55;
-  shard.heartbeat_ms = 10;
-  StatusOr<std::vector<TaskSampleSet>> sets =
-      ShardedCollectSamples(tasks, space, encoder, cfg, opts, shard);
-  EXPECT_TRUE(sets.ok()) << sets.status().message();
-  StatusOr<std::string> bytes = ReadFileToString(MergedBankPath(dir));
-  EXPECT_TRUE(bytes.ok()) << bytes.status().message();
-  return bytes.ok() ? bytes.value() : std::string();
-}
-
-TEST_F(ShardFaultTest, KilledWorkerReclaimedWithIdenticalMergedBank) {
-  const std::string baseline =
-      CollectShardedMerged(FreshDir("shard_nofault"), 2);
-  ASSERT_FALSE(baseline.empty());
-
-  // Kill worker ordinal 0 at its first sample commit (mid-shard: the shard
-  // is claimed, the bank holds everything committed before the probe). The
-  // coordinator must reclaim the shard and finish with a replacement.
-  const ShardStats before = CurrentShardStats();
-  ArmFault(FaultPoint::kShardWorkerKill, 0);
-  const std::string with_kill =
-      CollectShardedMerged(FreshDir("shard_kill"), 2);
-  DisarmAllFaults();
-  EXPECT_EQ(baseline, with_kill);
-  const ShardStats after = CurrentShardStats();
-  EXPECT_GT(after.worker_restarts, before.worker_restarts);
-  EXPECT_GT(after.shards_reclaimed, before.shards_reclaimed);
-}
-
-TEST_F(ShardFaultTest, CorruptWorkerFrameDropsWorkerAndRecovers) {
-  const std::string baseline =
-      CollectShardedMerged(FreshDir("shard_nocorrupt"), 2);
-  ASSERT_FALSE(baseline.empty());
-
-  // Worker 0's first frame is corrupted in flight: the coordinator's CRC
-  // check treats it as a dead peer, drops the channel, and a replacement
-  // covers the work.
-  const ShardStats before = CurrentShardStats();
-  ArmFault(FaultPoint::kShardMsgCorrupt, 0, /*fires=*/1);
-  const std::string corrupted =
-      CollectShardedMerged(FreshDir("shard_corrupt_w"), 2);
-  DisarmAllFaults();
-  EXPECT_EQ(baseline, corrupted);
-  EXPECT_GT(CurrentShardStats().corrupt_frames, before.corrupt_frames);
-}
-
-TEST_F(ShardFaultTest, CorruptCoordinatorFrameKillsWorkerAndRecovers) {
-  const std::string baseline =
-      CollectShardedMerged(FreshDir("shard_nocorrupt_c"), 2);
-  ASSERT_FALSE(baseline.empty());
-
-  // One coordinator-sent frame (an assignment) is corrupted: the receiving
-  // worker cannot trust the channel and exits, the coordinator sees the
-  // death and reclaims. The CRC failure happens in the worker process, so
-  // only completion and bit-identity are observable here.
-  ArmFault(FaultPoint::kShardMsgCorrupt, kShardCoordinatorAddress,
-           /*fires=*/1);
-  const std::string corrupted =
-      CollectShardedMerged(FreshDir("shard_corrupt_c"), 2);
-  DisarmAllFaults();
-  EXPECT_EQ(baseline, corrupted);
 }
 
 }  // namespace

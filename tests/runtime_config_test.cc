@@ -205,52 +205,6 @@ TEST(RuntimeConfigTest, ParsesStreamKnobs) {
   EXPECT_NE(json.find("\"stream_recovery\": true"), std::string::npos) << json;
 }
 
-TEST(RuntimeConfigTest, ParsesShardKnobs) {
-  {
-    unsetenv("AUTOCTS_SHARD_WORKERS");
-    unsetenv("AUTOCTS_SHARD_HEARTBEAT_MS");
-    unsetenv("AUTOCTS_SHARD_STEAL_TIMEOUT_MS");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 250);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 10000);
-  }
-  {
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "4");
-    ScopedEnv heartbeat("AUTOCTS_SHARD_HEARTBEAT_MS", "100");
-    ScopedEnv steal("AUTOCTS_SHARD_STEAL_TIMEOUT_MS", "2500");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 4);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 100);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 2500);
-  }
-  {
-    // Workers = 0 is meaningful (in-process collection); negative or
-    // unparseable values keep defaults, and the interval knobs must be
-    // positive.
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "0");
-    ScopedEnv heartbeat("AUTOCTS_SHARD_HEARTBEAT_MS", "0");
-    ScopedEnv steal("AUTOCTS_SHARD_STEAL_TIMEOUT_MS", "plenty");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 250);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 10000);
-  }
-  {
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "-2");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-  }
-  // print-config surfaces the shard knobs.
-  RuntimeConfig cfg;
-  const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"shard_workers\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard_heartbeat_ms\": 250"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"shard_steal_timeout_ms\": 10000"), std::string::npos)
-      << json;
-}
-
 TEST(RuntimeConfigTest, ParsesBankKnobs) {
   {
     unsetenv("AUTOCTS_BANK_DISABLE");
@@ -343,9 +297,8 @@ TEST(RuntimeStatsTest, SnapshotFoldsBackendCounters) {
             0u);
   const std::string json = stats.ToJson();
   for (const char* key :
-       {"\"pool\"", "\"plan\"", "\"guard\"", "\"backend\"", "\"active\"",
-        "\"hit_rate\"", "\"finite_checks\"", "\"shard\"", "\"shards_done\"",
-        "\"shards_stolen\"", "\"worker_restarts\"", "\"bytes_in\""}) {
+       {"\"pool\"", "\"plan\"", "\"guard\"", "\"backend\"", "\"serve\"",
+        "\"active\"", "\"hit_rate\"", "\"finite_checks\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << json;
   }
 }

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <sstream>
 #include <thread>
@@ -316,6 +317,13 @@ TEST(ServingTest, ValidatesRequests) {
   short_window.p = 30;
   short_window.q = 30;  // p + q > num_steps.
   EXPECT_FALSE(service.Recommend(short_window).ok());
+  // p + q overflows int: the check must not wrap around and pass.
+  RecommendRequest huge_p = fx.Request(53);
+  huge_p.p = INT_MAX;
+  huge_p.q = 1;
+  EXPECT_FALSE(service.Recommend(huge_p).ok());
+  huge_p.want_forecast = true;
+  EXPECT_FALSE(service.Recommend(huge_p).ok());
   service.Shutdown();
 }
 
@@ -364,23 +372,36 @@ TEST(HttpTest, ParseCsvWindow) {
   EXPECT_FALSE(ParseCsvWindow("", &req).ok());
   EXPECT_FALSE(ParseCsvWindow("1,2\n3\n", &req).ok());
   EXPECT_FALSE(ParseCsvWindow("1,x,3\n", &req).ok());
+  // strtof parses these; a window must still be all finite.
+  const Status nan = ParseCsvWindow("nan,inf,1\n2,3,4\n", &req);
+  EXPECT_FALSE(nan.ok());
+  EXPECT_NE(nan.message().find("row 1, column 0"), std::string::npos)
+      << nan.message();
+  const Status inf = ParseCsvWindow("1,2,3\n4,-inf,6\n", &req);
+  EXPECT_FALSE(inf.ok());
+  EXPECT_NE(inf.message().find("row 2, column 1"), std::string::npos)
+      << inf.message();
+  EXPECT_FALSE(ParseCsvWindow("1,1e39,3\n", &req).ok());  // Overflows.
 }
 
-/// Minimal blocking HTTP client: one request, returns the full response.
-std::string HttpRequest(int port, const std::string& raw) {
+/// Loopback TCP connection to `port` that gives up on a reply after 10 s,
+/// so a stalled server fails a test instead of hanging it.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  size_t sent = 0;
-  while (sent < raw.size()) {
-    const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
+  return fd;
+}
+
+/// Everything the server sends on `fd` until it closes (or 10 s pass).
+std::string ReadAll(int fd) {
   std::string response;
   char chunk[4096];
   for (;;) {
@@ -388,6 +409,19 @@ std::string HttpRequest(int port, const std::string& raw) {
     if (n <= 0) break;
     response.append(chunk, static_cast<size_t>(n));
   }
+  return response;
+}
+
+/// Minimal blocking HTTP client: one request, returns the full response.
+std::string HttpRequest(int port, const std::string& raw) {
+  const int fd = Connect(port);
+  size_t sent = 0;
+  while (sent < raw.size()) {
+    const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  const std::string response = ReadAll(fd);
   ::close(fd);
   return response;
 }
@@ -426,6 +460,20 @@ TEST(HttpTest, RecommendStatsAndHealthRoundTrip) {
   EXPECT_NE(response.find("\"ranked\""), std::string::npos) << response;
   EXPECT_NE(response.find("\"task_signature\""), std::string::npos);
 
+  // Query integers must parse whole and in range; p + q past INT_MAX is a
+  // validation error, not a wrapped sum.
+  auto post_with = [&](const std::string& query) {
+    std::ostringstream raw;
+    raw << "POST /recommend?" << query << " HTTP/1.1\r\nHost: x\r\n"
+        << "Content-Length: " << body.str().size() << "\r\n\r\n"
+        << body.str();
+    return HttpRequest(server.port(), raw.str());
+  };
+  EXPECT_NE(post_with("p=99999999999&q=8").find("400"), std::string::npos);
+  EXPECT_NE(post_with("p=8x&q=8").find("400"), std::string::npos);
+  EXPECT_NE(post_with("p=8&q=").find("400"), std::string::npos);
+  EXPECT_NE(post_with("p=2147483647&q=1").find("422"), std::string::npos);
+
   const std::string stats =
       HttpRequest(server.port(), "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_NE(stats.find("\"serve\""), std::string::npos) << stats;
@@ -436,6 +484,32 @@ TEST(HttpTest, RecommendStatsAndHealthRoundTrip) {
                 .find("404"),
             std::string::npos);
 
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(HttpTest, IdleConnectionDoesNotStallServer) {
+  ServeFixture fx;
+  RecommendationService service(&fx.comparator, &fx.encoder, &fx.space,
+                                TinyServe(1, 1));
+  ASSERT_TRUE(service.Start().ok());
+  HttpOptions http;
+  http.port = 0;
+  HttpServer server(&service, http);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A client that connects and never sends a byte holds one handler.
+  const int idle = Connect(server.port());
+  int answered = 0;
+  for (; answered < 200; ++answered) {
+    const std::string r = HttpRequest(
+        server.port(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    if (r.find("200 OK") == std::string::npos) break;
+  }
+  EXPECT_EQ(answered, 200);
+  // The read deadline ends the idle connection with an error response.
+  EXPECT_NE(ReadAll(idle).find("400"), std::string::npos);
+  ::close(idle);
   server.Stop();
   service.Shutdown();
 }
