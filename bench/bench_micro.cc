@@ -6,11 +6,11 @@
 // After the google-benchmark pass, main() runs a small self-timed pass and
 // writes BENCH_PR2.json (kernel throughput, buffer-pool hit rate, and
 // allocations per training step), BENCH_PR3.json (fused vs op-graph
-// ST-block A/B), and BENCH_PR4.json (guardrails armed vs disarmed, with
-// the <2% overhead budget), BENCH_PR5.json (step-plan replay vs eager), and
-// BENCH_PR6.json (per-backend GEMM throughput and the quantized-vs-fp32
-// comparator ranking A/B) for CI to archive. AUTOCTS_BENCH_ITERS sets
-// the iteration count (default 5; CI smoke uses 2).
+// ST-block A/B), BENCH_PR4.json (guardrails armed vs disarmed, with the
+// <2% overhead budget), BENCH_PR5.json (training-step plan replay vs
+// eager), and BENCH_PR6.json (per-backend GEMM throughput and the
+// quantized-vs-fp32 comparator ranking A/B) for CI to archive.
+// AUTOCTS_BENCH_ITERS sets the iteration count (default 5; CI smoke uses 2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -640,68 +640,6 @@ void AppendPlanTrainRecords(int reps,
   plan::SetPlansEnabled(saved);
 }
 
-/// Comparator-inference A/B: an eval-mode CompareLogits batch (the
-/// evolutionary ranking hot path) eager vs replayed from an inference plan.
-/// Inference plans are captured under NoGradScope, so pure intermediates
-/// live in one liveness-packed bump arena — arena_bytes is nonzero here.
-void AppendPlanInferRecords(int reps,
-                            std::vector<bench::MicroBenchRecord>* records) {
-  const bool saved = plan::PlansEnabled();
-  plan::SetPlansEnabled(true);
-  {
-    ThreadPool pool(1);
-    ExecScope scope(ExecContext{&pool, 0});
-    Rng rng(19);
-    Comparator::Options opts;
-    opts.task_aware = false;
-    Comparator comp(opts, 6);
-    comp.SetTraining(false);
-    JointSearchSpace space;
-    constexpr int kPairs = 64;
-    std::vector<ArchHyperEncoding> first, second;
-    for (int i = 0; i < kPairs; ++i) {
-      first.push_back(EncodeArchHyper(space.Sample(&rng)));
-      second.push_back(EncodeArchHyper(space.Sample(&rng)));
-    }
-    EncodingBatch b1 = StackEncodings(first);
-    EncodingBatch b2 = StackEncodings(second);
-    NoGradScope no_grad;
-    auto eager_infer = [&] {
-      benchmark::DoNotOptimize(
-          comp.CompareLogits(b1, b2, Tensor()).data().data());
-    };
-    for (int i = 0; i < 2; ++i) eager_infer();
-    StepPlan plan;
-    std::vector<Tensor> inputs = {b1.adjacency, b1.op_onehot, b1.hyper,
-                                  b2.adjacency, b2.op_onehot, b2.hyper};
-    plan.BeginCapture(inputs, "bench_compare_logits");
-    Tensor logits = comp.CompareLogits(b1, b2, Tensor());
-    plan.AddOutput(logits);
-    if (!plan.EndCapture()) {
-      plan::SetPlansEnabled(saved);
-      return;
-    }
-    auto replay_infer = [&] {
-      plan.BeginStep(inputs);
-      plan.RunForward();
-      benchmark::DoNotOptimize(plan.output(0).data().data());
-    };
-    replay_infer();
-    BufferPool::Global().ResetStats();
-    const uint64_t tape_before = TapeNodesCreated();
-    for (int i = 0; i < reps; ++i) replay_infer();
-    const double tape_per_replay =
-        static_cast<double>(TapeNodesCreated() - tape_before) / reps;
-    PoolStats stats = ExecContext{}.pool_stats();
-    const double roundtrips =
-        static_cast<double>(stats.hits + stats.misses) / reps;
-    AppendPairedPlanRecords("compare_logits_b64", reps, eager_infer,
-                            replay_infer, tape_per_replay, roundtrips,
-                            static_cast<double>(plan.arena_bytes()), records);
-  }
-  plan::SetPlansEnabled(saved);
-}
-
 // ---- Backend dispatch & quantized comparator (BENCH_PR6.json) -------------
 
 /// Per-backend blocked-GEMM throughput: the same 512^3 MatMul as the PR-2
@@ -895,7 +833,6 @@ void WriteMicroReport() {
   // under the CI smoke setting.
   std::vector<bench::MicroBenchRecord> plan_records;
   AppendPlanTrainRecords(std::max(iters, 5), &plan_records);
-  AppendPlanInferRecords(std::max(iters, 5), &plan_records);
   bench::WriteBenchJson("BENCH_PR5.json", plan_records);
   // Backend dispatch + quantized comparator A/B: the paired speedup needs a
   // floor of 5 repetitions even under the CI smoke setting.

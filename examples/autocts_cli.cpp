@@ -52,8 +52,16 @@
 //              serve, and fault-tolerance counter families) as one
 //              JSON object — print-config's sibling for "what did this
 //              process actually do?".
+//
+// Each subcommand accepts only the flags it reads (the table in
+// Commands()): an unknown flag, a stray argument, or a number that does not
+// parse exits 2 with a message naming the flag.
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <iostream>
@@ -61,6 +69,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/jsonio.h"
 #include "common/runtime_config.h"
 #include "common/runtime_stats.h"
@@ -77,37 +86,106 @@
 namespace autocts {
 namespace {
 
-/// Minimal --flag value parser; flags without values are booleans.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      flags[key] = "1";
-    }
+using Flags = std::map<std::string, std::string>;
+
+enum class FlagKind { kBool, kInt, kDouble, kString };
+
+/// One --flag a subcommand reads. kBool flags take no value.
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+/// strtol with an end-pointer and int range check (as the HTTP front end's
+/// query parser does): "abc", "12x", "" and out-of-range values fail.
+bool ParseInt(const std::string& text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      v < INT_MIN || v > INT_MAX) {
+    return false;
   }
-  return flags;
+  *out = static_cast<int>(v);
+  return true;
 }
 
-int IntFlag(const std::map<std::string, std::string>& flags,
-            const std::string& key, int fallback) {
+/// strtod with an end-pointer check; non-finite values fail.
+bool ParseDouble(const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parses argv[first..] as `--flag [value]` pairs against the flags a
+/// subcommand reads. An unknown flag, a stray argument, a value flag without
+/// a value, or a malformed number is an error naming the offending flag —
+/// a typo must not silently fall back to a default.
+Status ParseFlags(int argc, char** argv, int first,
+                  const std::vector<FlagSpec>& known, Flags* flags) {
+  for (int i = first; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      return Status::Error("unexpected argument '" + arg + "'");
+    }
+    const std::string key = arg.substr(2);
+    auto spec =
+        std::find_if(known.begin(), known.end(),
+                     [&](const FlagSpec& f) { return key == f.name; });
+    if (spec == known.end()) return Status::Error("unknown flag " + arg);
+    if (spec->kind == FlagKind::kBool) {
+      (*flags)[key] = "1";
+      continue;
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      return Status::Error(arg + " needs a value");
+    }
+    const std::string value = argv[++i];
+    int int_value = 0;
+    double double_value = 0.0;
+    if (spec->kind == FlagKind::kInt && !ParseInt(value, &int_value)) {
+      return Status::Error(arg + ": '" + value +
+                           "' is not an integer in range");
+    }
+    if (spec->kind == FlagKind::kDouble &&
+        !ParseDouble(value, &double_value)) {
+      return Status::Error(arg + ": '" + value + "' is not a finite number");
+    }
+    (*flags)[key] = value;
+  }
+  return Status::Ok();
+}
+
+/// Reads an int flag ParseFlags already validated.
+int IntFlag(const Flags& flags, const std::string& key, int fallback) {
   auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atoi(it->second.c_str());
+  int v = fallback;
+  if (it != flags.end()) CHECK(ParseInt(it->second, &v)) << key;
+  return v;
 }
 
-std::string StrFlag(const std::map<std::string, std::string>& flags,
-                    const std::string& key, const std::string& fallback) {
+double DoubleFlag(const Flags& flags, const std::string& key,
+                  double fallback) {
+  auto it = flags.find(key);
+  double v = fallback;
+  if (it != flags.end()) CHECK(ParseDouble(it->second, &v)) << key;
+  return v;
+}
+
+std::string StrFlag(const Flags& flags, const std::string& key,
+                    const std::string& fallback) {
   auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
 }
 
 StatusOr<ForecastTask> BuildTask(
-    const std::map<std::string, std::string>& flags, const ScaleConfig& scale) {
+    const Flags& flags, const ScaleConfig& scale) {
   ForecastTask task;
   std::string csv = StrFlag(flags, "csv", "");
   if (!csv.empty()) {
@@ -133,7 +211,7 @@ StatusOr<ForecastTask> BuildTask(
   return task;
 }
 
-int Pretrain(const std::map<std::string, std::string>& flags) {
+int Pretrain(const Flags& flags) {
   ScaleConfig scale = ScaleConfig::Bench();
   scale.num_source_tasks = IntFlag(flags, "tasks", scale.num_source_tasks);
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
@@ -181,7 +259,7 @@ int Pretrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Search(const std::map<std::string, std::string>& flags) {
+int Search(const Flags& flags) {
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   options.search.top_k = IntFlag(flags, "topk", options.search.top_k);
@@ -210,7 +288,7 @@ int Search(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Eval(const std::map<std::string, std::string>& flags) {
+int Eval(const Flags& flags) {
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   StatusOr<ForecastTask> task = BuildTask(flags, scale);
@@ -242,7 +320,7 @@ void ServeSignalHandler(int) { g_serve_interrupted = 1; }
 /// Long-lived serving mode: pretrained checkpoint + RecommendationService +
 /// embedded HTTP front end. Flags default from the process AUTOCTS_SERVE_*
 /// environment knobs so `autocts_cli serve` alone honors the environment.
-int Serve(const std::map<std::string, std::string>& flags) {
+int Serve(const Flags& flags) {
   const RuntimeConfig& rc = GlobalRuntimeConfig();
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
@@ -300,19 +378,13 @@ int Serve(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-double DoubleFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atof(it->second.c_str());
-}
-
 /// `stream` subcommand: online forecasting under an injected fault
 /// scenario. Seeds a streaming session from the head of the dataset, then
 /// feeds the remainder tick by tick through a deterministic scenario
 /// overlay (regime shift, sensor dropout, anomaly burst, concept drift, or
 /// stationary), printing drift / hot-swap events as they land and the
 /// online MAE before, during, and after recovery.
-int Stream(const std::map<std::string, std::string>& flags) {
+int Stream(const Flags& flags) {
   const RuntimeConfig& rc = GlobalRuntimeConfig();
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
@@ -489,7 +561,7 @@ int Stream(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Info() {
+int Info(const Flags&) {
   JointSearchSpace space;
   std::cout << "joint search space: 10^" << space.Log10Size()
             << " arch-hypers\n";
@@ -509,7 +581,7 @@ int Info() {
 /// inspection must work on any bank), print its inventory, and CRC-verify
 /// every frame. Returns non-zero when the bank cannot be opened or any
 /// section fails verification.
-int BankInspect(const std::map<std::string, std::string>& flags) {
+int BankInspect(const Flags& flags) {
   const std::string path = StrFlag(flags, "path", "");
   if (path.empty()) {
     std::cerr << "usage: autocts_cli bank --path <dir>/pipeline.bank\n";
@@ -592,7 +664,7 @@ int BankInspect(const std::map<std::string, std::string>& flags) {
 /// Dumps the startup RuntimeConfig plus the backend dispatch resolution
 /// (active + available) as one JSON object — the debugging entry point for
 /// "which knobs is this process actually running with?".
-int PrintConfig() {
+int PrintConfig(const Flags&) {
   JsonWriter w;
   w.BeginObject();
   w.Key("config");
@@ -612,9 +684,74 @@ int PrintConfig() {
 /// Dumps the process counter families (kernel dispatch, serve, fault
 /// tolerance) as one JSON object — print-config's sibling: config is
 /// what the process was told, stats is what it did.
-int PrintStats() {
+int PrintStats(const Flags&) {
   std::cout << RuntimeStats::Snapshot().ToJson() << "\n";
   return 0;
+}
+
+/// A subcommand and the flags it reads.
+struct Command {
+  const char* name;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Flags&);
+};
+
+const std::vector<Command>& Commands() {
+  using K = FlagKind;
+  // BuildTask's flags, shared by every subcommand that takes a dataset.
+  auto with_task = [](std::vector<FlagSpec> own) {
+    own.insert(own.end(), {{"csv", K::kString},
+                           {"adjacency", K::kString},
+                           {"dataset", K::kString},
+                           {"p", K::kInt},
+                           {"q", K::kInt},
+                           {"single", K::kBool}});
+    return own;
+  };
+  static const std::vector<Command> commands = {
+      {"pretrain",
+       {{"ckpt", K::kString},
+        {"tasks", K::kInt},
+        {"checkpoint-dir", K::kString},
+        {"resume", K::kBool},
+        {"seed", K::kInt}},
+       Pretrain},
+      {"search", with_task({{"ckpt", K::kString}, {"topk", K::kInt}}), Search},
+      {"eval", with_task({{"arch", K::kString}, {"seed", K::kInt}}), Eval},
+      {"serve",
+       {{"ckpt", K::kString},
+        {"port", K::kInt},
+        {"workers", K::kInt},
+        {"max-batch", K::kInt},
+        {"max-delay-us", K::kInt},
+        {"embed-cache-entries", K::kInt}},
+       Serve},
+      {"stream",
+       with_task({{"ckpt", K::kString},
+                  {"scenario", K::kString},
+                  {"seed-steps", K::kInt},
+                  {"ticks", K::kInt},
+                  {"onset", K::kInt},
+                  {"duration", K::kInt},
+                  {"magnitude", K::kDouble},
+                  {"fraction", K::kDouble},
+                  {"seed", K::kInt},
+                  {"warmup", K::kInt},
+                  {"ph-delta", K::kDouble},
+                  {"ph-lambda", K::kDouble},
+                  {"deadline", K::kInt},
+                  {"backoff", K::kInt},
+                  {"retries", K::kInt},
+                  {"research-delay", K::kInt},
+                  {"no-recovery", K::kBool}}),
+       Stream},
+      {"bank", {{"path", K::kString}, {"json", K::kBool}}, BankInspect},
+      {"info", {}, Info},
+      {"print-config", {}, PrintConfig},
+      {"--print-config", {}, PrintConfig},
+      {"stats", {}, PrintStats},
+  };
+  return commands;
 }
 
 int Main(int argc, char** argv) {
@@ -625,19 +762,17 @@ int Main(int argc, char** argv) {
                  "see the header of examples/autocts_cli.cpp for details\n";
     return 2;
   }
-  std::string command = argv[1];
-  std::map<std::string, std::string> flags = ParseFlags(argc, argv, 2);
-  if (command == "pretrain") return Pretrain(flags);
-  if (command == "search") return Search(flags);
-  if (command == "eval") return Eval(flags);
-  if (command == "serve") return Serve(flags);
-  if (command == "stream") return Stream(flags);
-  if (command == "bank") return BankInspect(flags);
-  if (command == "info") return Info();
-  if (command == "print-config" || command == "--print-config") {
-    return PrintConfig();
+  const std::string command = argv[1];
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    Flags flags;
+    const Status parsed = ParseFlags(argc, argv, 2, c.flags, &flags);
+    if (!parsed.ok()) {
+      std::cerr << "error: " << command << ": " << parsed.message() << "\n";
+      return 2;
+    }
+    return c.run(flags);
   }
-  if (command == "stats") return PrintStats();
   std::cerr << "unknown command '" << command << "'\n";
   return 2;
 }

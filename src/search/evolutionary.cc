@@ -8,30 +8,8 @@
 
 #include "common/guard.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 
 namespace autocts {
-
-namespace {
-
-/// Per-thread cache of compiled comparator-inference plans, one per batch
-/// size, valid for one (comparator, task embedding) context. Thread-local
-/// because a StepPlan must replay on the thread that captured it, and
-/// ComparePairs fans batches out across the pool.
-struct TlsCompareCache {
-  const void* comparator = nullptr;
-  const void* task_embed = nullptr;
-  /// Pins the task embedding's storage so `task_embed` can never be a
-  /// recycled-address false match (ABA) while this cache context is live.
-  Tensor task_embed_keep;
-  /// Constant [1, f2] view of the embedding, shared by every captured plan.
-  Tensor task_row;
-  std::map<int, std::unique_ptr<StepPlan>> by_batch;
-};
-
-thread_local TlsCompareCache t_compare_cache;
-
-}  // namespace
 
 EvolutionarySearcher::EvolutionarySearcher(const Comparator* comparator,
                                            const JointSearchSpace* space,
@@ -41,15 +19,17 @@ EvolutionarySearcher::EvolutionarySearcher(const Comparator* comparator,
   CHECK(space_ != nullptr);
 }
 
-std::vector<bool> EvolutionarySearcher::ComparePairs(
+std::vector<uint8_t> EvolutionarySearcher::ComparePairs(
     const std::vector<ArchHyperEncoding>& enc,
     const std::vector<std::pair<int, int>>& pairs, const Tensor& task_embed,
     int compare_batch) const {
-  std::vector<bool> wins(pairs.size());
+  // One byte per duel, not vector<bool>: pool threads write neighbouring
+  // batches concurrently, and packed bits would share a word across them.
+  std::vector<uint8_t> wins(pairs.size(), 0);
   const bool task_aware = comparator_->options().task_aware;
   const int f2 = comparator_->options().f2;
   if (task_aware) CHECK(task_embed.defined());
-  auto record_raw = [&](size_t begin, int m, const float* logits) {
+  auto record = [&](size_t begin, int m, const float* logits) {
     for (int i = 0; i < m; ++i) {
       const float logit = logits[i];
       if (GuardsEnabled() && !std::isfinite(logit)) {
@@ -57,143 +37,68 @@ std::vector<bool> EvolutionarySearcher::ComparePairs(
         // the deterministic "second wins" outcome (same verdict NaN >= 0
         // would yield, but now observable in the RobustnessReport).
         nonfinite_comparisons_.fetch_add(1, std::memory_order_relaxed);
-        wins[begin + static_cast<size_t>(i)] = false;
         continue;
       }
-      wins[begin + static_cast<size_t>(i)] = logit >= 0.0f;
+      wins[begin + static_cast<size_t>(i)] = logit >= 0.0f ? 1 : 0;
     }
   };
-  auto record_logits = [&](size_t begin, int m, const Tensor& logits) {
-    record_raw(begin, m, logits.data().data());
-  };
-  auto stack_batch = [&](size_t begin, size_t end, EncodingBatch* b1,
-                         EncodingBatch* b2) {
+  // Scores batch `bi` into `wins`. `task_row` is the [1, f2] embedding view;
+  // `quant` selects the bf16/int8 snapshot, null the fp32 tape.
+  auto run_batch = [&](int64_t bi, const Tensor& task_row,
+                       const QuantizedComparator* quant) {
+    const size_t begin =
+        static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
+    const size_t end =
+        std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
+    const int m = static_cast<int>(end - begin);
     std::vector<ArchHyperEncoding> first, second;
     for (size_t p = begin; p < end; ++p) {
       first.push_back(enc[static_cast<size_t>(pairs[p].first)]);
       second.push_back(enc[static_cast<size_t>(pairs[p].second)]);
     }
-    *b1 = StackEncodings(first);
-    *b2 = StackEncodings(second);
+    const EncodingBatch eb1 = StackEncodings(first);
+    const EncodingBatch eb2 = StackEncodings(second);
+    Tensor task_embeds;
+    if (task_aware) {
+      std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
+      task_embeds = Concat(rows, 0);
+    }
+    if (quant != nullptr) {
+      const std::vector<float> logits =
+          quant->CompareLogits(eb1, eb2, task_embeds);
+      record(begin, m, logits.data());
+    } else {
+      const Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
+      record(begin, m, logits.data().data());
+    }
   };
   const int64_t num_batches =
       (static_cast<int64_t>(pairs.size()) + compare_batch - 1) / compare_batch;
-  const ComparatorPrecision precision =
-      ctx_.effective_config().comparator_precision;
-  if (!comparator_->training() && precision != ComparatorPrecision::kFp32) {
-    // Quantized inference path (AUTOCTS_COMPARATOR_PRECISION=bf16|int8):
-    // off-tape raw-buffer forward through the active kernel backend's
-    // quantized GEMMs — no tape, no plans, so it bypasses the plan cache
-    // entirely. Batches stay independent, so the same fan-out applies.
-    const QuantizedComparator* quant = Quantized(precision);
-    ExecScope scope(ctx_);
-    ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1r) {
-      NoGradScope no_grad;
-      Tensor task_row;
-      if (task_aware) task_row = Reshape(task_embed, {1, f2});
-      for (int64_t bi = b0; bi < b1r; ++bi) {
-        const size_t begin =
-            static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-        const size_t end =
-            std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-        const int m = static_cast<int>(end - begin);
-        EncodingBatch eb1, eb2;
-        stack_batch(begin, end, &eb1, &eb2);
-        Tensor task_embeds;
-        if (task_aware) {
-          std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
-          task_embeds = Concat(rows, 0);
-        }
-        const std::vector<float> logits =
-            quant->CompareLogits(eb1, eb2, task_embeds);
-        record_raw(begin, m, logits.data());
-      }
-    });
-    return wins;
-  }
-  if (!comparator_->training()) {
-    // Eval-mode inference is pure (dropout is a no-op, so no shared RNG),
-    // and batches are independent — fan them out across the pool. Each
-    // worker compiles one inference plan per batch size (captured under
-    // NoGradScope, so pure intermediates live in the plan's bump arena) and
-    // replays it for every later batch of that size.
-    ExecScope scope(ctx_);
-    ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1r) {
-      NoGradScope no_grad;
-      TlsCompareCache& cache = t_compare_cache;
-      const void* embed_key = task_aware
-                                  ? static_cast<const void*>(task_embed.impl())
-                                  : nullptr;
-      if (cache.comparator != static_cast<const void*>(comparator_) ||
-          cache.task_embed != embed_key) {
-        cache.by_batch.clear();
-        cache.comparator = comparator_;
-        cache.task_embed = embed_key;
-        cache.task_embed_keep = task_aware ? task_embed : Tensor();
-        cache.task_row =
-            task_aware ? Reshape(task_embed, {1, f2}) : Tensor();
-      }
-      for (int64_t bi = b0; bi < b1r; ++bi) {
-        const size_t begin =
-            static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-        const size_t end =
-            std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-        const int m = static_cast<int>(end - begin);
-        EncodingBatch eb1, eb2;
-        stack_batch(begin, end, &eb1, &eb2);
-        std::vector<Tensor> step_inputs = {eb1.adjacency, eb1.op_onehot,
-                                           eb1.hyper,     eb2.adjacency,
-                                           eb2.op_onehot, eb2.hyper};
-        std::unique_ptr<StepPlan>& plan = cache.by_batch[m];
-        if (plan == nullptr) plan = std::make_unique<StepPlan>();
-        if (plan->ready() && !plan->MatchesInputs(step_inputs)) {
-          plan->Invalidate();
-        }
-        if (plan->ready()) {
-          plan->BeginStep(step_inputs);
-          plan->RunForward();
-          record_logits(begin, m, plan->output(0));
-          continue;
-        }
-        const bool capture =
-            plan::PlansEnabled() && !plan->capture_failed() &&
-            LiveTapeNodesThisThread() == plan::PinnedTapeNodesThisThread();
-        if (capture) plan->BeginCapture(step_inputs, "compare_logits");
-        Tensor task_embeds;
-        if (task_aware) {
-          std::vector<Tensor> rows(static_cast<size_t>(m), cache.task_row);
-          task_embeds = Concat(rows, 0);
-        }
-        Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-        if (capture) {
-          plan->AddOutput(logits);
-          plan->EndCapture();
-        }
-        record_logits(begin, m, logits);
-      }
-    });
-  } else {
-    // Training mode shares one dropout RNG; keep the sequential draw order
-    // and stay eager (the graph must re-tape every step).
+  if (comparator_->training()) {
+    // Training mode shares one dropout RNG; keep the sequential draw order.
     Tensor task_row;
     if (task_aware) task_row = Reshape(task_embed, {1, f2});
     for (int64_t bi = 0; bi < num_batches; ++bi) {
-      const size_t begin =
-          static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-      const size_t end =
-          std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-      const int m = static_cast<int>(end - begin);
-      EncodingBatch eb1, eb2;
-      stack_batch(begin, end, &eb1, &eb2);
-      Tensor task_embeds;
-      if (task_aware) {
-        std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
-        task_embeds = Concat(rows, 0);
-      }
-      Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-      record_logits(begin, m, logits);
+      run_batch(bi, task_row, nullptr);
     }
+    return wins;
   }
+  // Eval-mode inference is pure (dropout is a no-op, so no shared RNG) and
+  // every comparator op is row-local, so batches are independent: fan them
+  // out across the pool. fp32 runs the eager tape under NoGradScope;
+  // bf16/int8 (AUTOCTS_COMPARATOR_PRECISION) run the off-tape quantized
+  // snapshot through the active kernel backend.
+  const ComparatorPrecision precision =
+      ctx_.effective_config().comparator_precision;
+  const QuantizedComparator* quant =
+      precision == ComparatorPrecision::kFp32 ? nullptr : Quantized(precision);
+  ExecScope scope(ctx_);
+  ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1) {
+    NoGradScope no_grad;
+    Tensor task_row;
+    if (task_aware) task_row = Reshape(task_embed, {1, f2});
+    for (int64_t bi = b0; bi < b1; ++bi) run_batch(bi, task_row, quant);
+  });
   return wins;
 }
 
@@ -221,7 +126,7 @@ ArchHyperEncoding EvolutionarySearcher::CachedEncoding(
   return encode_cache_.try_emplace(key, std::move(enc)).first->second;
 }
 
-std::vector<bool> EvolutionarySearcher::DedupedOutcomes(
+std::vector<uint8_t> EvolutionarySearcher::DedupedOutcomes(
     const std::vector<ArchHyper>& items,
     const std::vector<ArchHyperEncoding>& enc,
     const std::vector<std::pair<int, int>>& pairs, const Tensor& task_embed,
@@ -248,9 +153,9 @@ std::vector<bool> EvolutionarySearcher::DedupedOutcomes(
   }
   // Bit-safe broadcast: every comparator op is row-local, so a pair's logit
   // does not depend on which other rows share its batch.
-  std::vector<bool> unique_outcomes =
+  const std::vector<uint8_t> unique_outcomes =
       ComparePairs(enc, unique_pairs, task_embed, compare_batch);
-  std::vector<bool> outcomes(pairs.size());
+  std::vector<uint8_t> outcomes(pairs.size());
   for (size_t p = 0; p < pairs.size(); ++p) {
     outcomes[p] = unique_outcomes[static_cast<size_t>(pair_slot[p])];
   }
@@ -272,12 +177,12 @@ std::vector<int> EvolutionarySearcher::SparseWinCounts(
       pairs.push_back({i, j});
     }
   }
-  std::vector<bool> outcomes =
+  const std::vector<uint8_t> outcomes =
       DedupedOutcomes(pool, enc, pairs, task_embed, compare_batch);
   std::vector<int> wins(static_cast<size_t>(n), 0);
   for (size_t p = 0; p < pairs.size(); ++p) {
     // Credit both sides: the winner of each duel gets a point.
-    if (outcomes[p]) {
+    if (outcomes[p] != 0) {
       ++wins[static_cast<size_t>(pairs[p].first)];
     } else {
       ++wins[static_cast<size_t>(pairs[p].second)];
@@ -299,29 +204,25 @@ std::vector<int> EvolutionarySearcher::RoundRobinWins(
       if (i != j) pairs.push_back({i, j});
     }
   }
-  std::vector<bool> outcomes =
+  const std::vector<uint8_t> outcomes =
       DedupedOutcomes(candidates, enc, pairs, task_embed, compare_batch);
   std::vector<int> wins(static_cast<size_t>(n), 0);
   for (size_t p = 0; p < pairs.size(); ++p) {
-    if (outcomes[p]) ++wins[static_cast<size_t>(pairs[p].first)];
+    if (outcomes[p] != 0) ++wins[static_cast<size_t>(pairs[p].first)];
   }
   return wins;
 }
 
-namespace {
-
-/// Indices of the top-k values, descending.
 std::vector<int> TopIndices(const std::vector<int>& scores, int k) {
   std::vector<int> order(scores.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
   });
-  order.resize(static_cast<size_t>(std::min<int>(k, static_cast<int>(order.size()))));
+  order.resize(
+      static_cast<size_t>(std::min<int>(k, static_cast<int>(order.size()))));
   return order;
 }
-
-}  // namespace
 
 std::vector<ArchHyper> EvolutionarySearcher::SearchTopK(
     const Tensor& task_embed, const SearchOptions& options) const {

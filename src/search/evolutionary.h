@@ -34,6 +34,11 @@ struct SearchOptions {
   uint64_t seed = 303;
 };
 
+/// Indices of the top-k `scores`, descending; ties keep the lower index
+/// first (stable sort). The one ranking rule of SearchTopK and of the
+/// serving layer, whose responses must equal SearchTopK's.
+std::vector<int> TopIndices(const std::vector<int>& scores, int k);
+
 /// Comparator-guided evolutionary search over the joint search space for a
 /// fixed task embedding (undefined tensor for a plain, task-blind AHC).
 class EvolutionarySearcher {
@@ -69,8 +74,9 @@ class EvolutionarySearcher {
   }
 
  private:
-  /// Batched "first beats second" decisions for index pairs into `enc`.
-  std::vector<bool> ComparePairs(
+  /// Batched "first beats second" decisions (1 = first wins) for index
+  /// pairs into `enc`.
+  std::vector<uint8_t> ComparePairs(
       const std::vector<ArchHyperEncoding>& enc,
       const std::vector<std::pair<int, int>>& pairs, const Tensor& task_embed,
       int compare_batch) const;
@@ -92,11 +98,11 @@ class EvolutionarySearcher {
   /// outcome broadcast to every duplicate duel. Bit-safe because every
   /// comparator op is row-local, so a logit does not depend on which batch
   /// rows surround it.
-  std::vector<bool> DedupedOutcomes(const std::vector<ArchHyper>& items,
-                                    const std::vector<ArchHyperEncoding>& enc,
-                                    const std::vector<std::pair<int, int>>& pairs,
-                                    const Tensor& task_embed,
-                                    int compare_batch) const;
+  std::vector<uint8_t> DedupedOutcomes(
+      const std::vector<ArchHyper>& items,
+      const std::vector<ArchHyperEncoding>& enc,
+      const std::vector<std::pair<int, int>>& pairs, const Tensor& task_embed,
+      int compare_batch) const;
 
   const Comparator* comparator_;
   const JointSearchSpace* space_;

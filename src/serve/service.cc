@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -13,7 +11,6 @@
 #include "searchspace/parse.h"
 #include "tensor/backend.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 
 namespace autocts {
 namespace serve {
@@ -39,34 +36,6 @@ std::string HexSig(uint64_t sig) {
   os << std::hex << sig;
   return os.str();
 }
-
-/// Indices of the top-k values, descending — the exact tie-break rule of
-/// evolutionary.cc's TopIndices (stable sort keeps earlier indices first),
-/// which serve-mode ranking must replicate bit-for-bit.
-std::vector<int> TopIndices(const std::vector<int>& scores, int k) {
-  std::vector<int> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
-  });
-  order.resize(
-      static_cast<size_t>(std::min<int>(k, static_cast<int>(order.size()))));
-  return order;
-}
-
-/// Per-worker cache of compiled comparator-inference plans, one per batch
-/// size. Unlike the search-side TlsCompareCache (which freezes the task
-/// embedding as a plan constant), serving feeds the per-row task embeddings
-/// in as a step INPUT, so one plan per batch size serves any mix of tenants'
-/// tasks — the plan survives across requests, which is the point of keeping
-/// workers long-lived. Thread-local because a StepPlan must replay on the
-/// thread that captured it (plan.h invariant).
-struct TlsServePlans {
-  const void* comparator = nullptr;
-  std::map<int, std::unique_ptr<StepPlan>> by_batch;
-};
-
-thread_local TlsServePlans t_serve_plans;
 
 }  // namespace
 
@@ -131,7 +100,7 @@ ServeOptions ServeOptions::ForScale(const ScaleConfig& scale) {
   o.scale = scale;
   // Serving trades pool breadth for latency: a small fresh-sampled pool per
   // request keeps the zero-shot "seconds" promise, and small per-request
-  // duel counts are exactly where micro-batch packing pays (fixed per-replay
+  // duel counts are exactly where micro-batch packing pays (fixed per-batch
   // cost dominates part-filled batches).
   o.search.ranking_pool = std::max(8, scale.ranking_pool / 8);
   o.search.opponents_per_candidate = 2;
@@ -326,10 +295,9 @@ ServeStats RecommendationService::stats() const {
 
 void RecommendationService::WorkerLoop(int worker_index) {
   // Each worker owns a 1-lane pool and installs it for its whole lifetime:
-  // every tensor kernel below runs inline on this thread, which (a) keeps
-  // the thread-local StepPlans valid (capture thread == replay thread,
-  // structurally) and (b) makes worker count the serving concurrency axis
-  // instead of kernel fan-out fighting across workers for one shared pool.
+  // every tensor kernel below runs inline on this thread, which makes worker
+  // count the serving concurrency axis instead of kernel fan-out fighting
+  // across workers for one shared pool.
   ThreadPool local_pool(1);
   ExecContext ctx;
   ctx.pool = &local_pool;
@@ -477,6 +445,9 @@ void RecommendationService::EvaluateDuels(DuelSet* duels) const {
   const int compare_batch = std::max(1, options_.search.compare_batch);
   const size_t n = duels->rows.size();
   const ComparatorPrecision precision = config_.comparator_precision;
+  // fp32 runs the eager tape; bf16/int8 the off-tape quantized snapshot.
+  const QuantizedComparator* quant =
+      precision == ComparatorPrecision::kFp32 ? nullptr : Quantized(precision);
   NoGradScope no_grad;
   auto record = [&](size_t begin, int m, const float* logits) {
     for (int i = 0; i < m; ++i) {
@@ -488,88 +459,39 @@ void RecommendationService::EvaluateDuels(DuelSet* duels) const {
       duels->outcomes[begin + static_cast<size_t>(i)] = win ? 1 : 0;
     }
   };
+  // Each chunk is exactly rows [begin, end). All comparator ops are
+  // row-local, so a row's logit does not depend on the chunk's size or on
+  // which rows (or tenants) share it.
   for (size_t begin = 0; begin < n;
        begin += static_cast<size_t>(compare_batch)) {
     const size_t end = std::min(n, begin + static_cast<size_t>(compare_batch));
     const int m = static_cast<int>(end - begin);
-    // Bucket the chunk to a power-of-two row count (>= 8) by repeating the
-    // last row. Micro-batches vary in size, so raw tail chunks would mint a
-    // new plan (an expensive re-capture) for every new size; buckets bound
-    // the per-worker plan set to log2(compare_batch) shapes. Bit-safe: all
-    // comparator ops are row-local, so pad rows cannot perturb real rows,
-    // and record() only reads the first m logits.
-    int padded = m;
-    if (precision == ComparatorPrecision::kFp32) {
-      padded = 8;
-      while (padded < m) padded *= 2;
-    }
     std::vector<ArchHyperEncoding> first, second;
-    first.reserve(static_cast<size_t>(padded));
-    second.reserve(static_cast<size_t>(padded));
+    first.reserve(static_cast<size_t>(m));
+    second.reserve(static_cast<size_t>(m));
     for (size_t r = begin; r < end; ++r) {
       first.push_back(*duels->rows[r].first);
       second.push_back(*duels->rows[r].second);
     }
-    while (static_cast<int>(first.size()) < padded) {
-      first.push_back(*duels->rows[end - 1].first);
-      second.push_back(*duels->rows[end - 1].second);
-    }
-    EncodingBatch eb1 = StackEncodings(first);
-    EncodingBatch eb2 = StackEncodings(second);
+    const EncodingBatch eb1 = StackEncodings(first);
+    const EncodingBatch eb2 = StackEncodings(second);
     Tensor task_embeds;
     if (task_aware) {
       std::vector<Tensor> rows;
-      rows.reserve(static_cast<size_t>(padded));
+      rows.reserve(static_cast<size_t>(m));
       for (size_t r = begin; r < end; ++r) {
         rows.push_back(duels->rows[r].task_row);
       }
-      while (static_cast<int>(rows.size()) < padded) {
-        rows.push_back(duels->rows[end - 1].task_row);
-      }
       task_embeds = Concat(rows, 0);
     }
-    if (precision != ComparatorPrecision::kFp32) {
-      // Quantized off-tape inference (PR 6): no tape, no plans; rows stay
-      // independent, so packing requests together is still bit-safe.
+    if (quant != nullptr) {
       const std::vector<float> logits =
-          Quantized(precision)->CompareLogits(eb1, eb2, task_embeds);
+          quant->CompareLogits(eb1, eb2, task_embeds);
       record(begin, m, logits.data());
-      continue;
+    } else {
+      const Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
+      record(begin, m, logits.data().data());
     }
-    TlsServePlans& cache = t_serve_plans;
-    if (cache.comparator != static_cast<const void*>(comparator_)) {
-      cache.by_batch.clear();
-      cache.comparator = comparator_;
-    }
-    std::vector<Tensor> step_inputs = {eb1.adjacency, eb1.op_onehot,
-                                       eb1.hyper,     eb2.adjacency,
-                                       eb2.op_onehot, eb2.hyper};
-    if (task_aware) step_inputs.push_back(task_embeds);
-    std::unique_ptr<StepPlan>& plan = cache.by_batch[padded];
-    if (plan == nullptr) plan = std::make_unique<StepPlan>();
-    if (plan->ready() && !plan->MatchesInputs(step_inputs)) {
-      plan->Invalidate();
-    }
-    if (plan->ready()) {
-      // Thread-local ownership makes this structurally true; the CHECK is
-      // the serving-worker enforcement of plan.h's capture-thread invariant.
-      const Status thread_ok = plan->ValidateReplayThread();
-      CHECK(thread_ok.ok()) << thread_ok.message();
-      plan->BeginStep(step_inputs);
-      plan->RunForward();
-      record(begin, m, plan->output(0).data().data());
-      continue;
-    }
-    const bool capture =
-        plan::PlansEnabled() && !plan->capture_failed() &&
-        LiveTapeNodesThisThread() == plan::PinnedTapeNodesThisThread();
-    if (capture) plan->BeginCapture(step_inputs, "serve_compare");
-    Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-    if (capture) {
-      plan->AddOutput(logits);
-      plan->EndCapture();
-    }
-    record(begin, m, logits.data().data());
   }
 }
 

@@ -33,9 +33,8 @@ namespace serve {
 /// layer"). Every knob has an AUTOCTS_SERVE_* environment form parsed by
 /// RuntimeConfig::FromEnv and a --flag on `autocts_cli serve`.
 struct ServeOptions {
-  /// Worker threads draining the request queue. Each worker owns its
-  /// thread-local captured StepPlans (plans replay only on their capture
-  /// thread) and runs tensor kernels inline — worker count, not kernel
+  /// Worker threads draining the request queue. Each worker runs tensor
+  /// kernels inline on its own 1-lane pool — worker count, not kernel
   /// fan-out, is the serving concurrency axis.
   int workers = 2;
   /// Admission policy: a worker coalesces up to `max_batch` queued requests
@@ -117,13 +116,13 @@ struct Recommendation {
 
 /// The long-lived, in-process zero-shot serving core.
 ///
-/// Keeps the pretrained T-AHC, the task-embedding encoder, and every
-/// worker's captured inference StepPlans resident across requests, and
-/// answers concurrent recommendation queries through a bounded MPMC queue
-/// with micro-batching admission: workers coalesce up to max_batch requests
-/// and pack their comparator duels (deduplicated by content signature) into
-/// shared CompareLogits replays, each row carrying its own task-embedding —
-/// the batching seam that amortizes fixed per-replay cost across tenants.
+/// Keeps the pretrained T-AHC and the task-embedding encoder resident
+/// across requests, and answers concurrent recommendation queries through a
+/// bounded MPMC queue with micro-batching admission: workers coalesce up to
+/// max_batch requests and pack their comparator duels (deduplicated by
+/// content signature) into shared CompareLogits batches, each row carrying
+/// its own task-embedding — the batching seam that amortizes fixed
+/// per-batch cost across tenants.
 ///
 /// Thread safety: Submit/TrySubmit/Recommend may be called from any number
 /// of threads. Shutdown drains queued requests before returning; submissions

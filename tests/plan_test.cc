@@ -2,12 +2,12 @@
 // Replay promises the *same bits* as eager execution — the thunks are the
 // eager kernels over the same buffers in the same order — so every
 // comparison here is memcmp-strict: whole training runs with plans on vs
-// off, 1 vs 4 threads, fused kernels on vs off, T-AHC pre-training, and the
-// evolutionary ranking. Also covers the replayed backward pass against a
-// freshly taped graph, plan invalidation on shape/knob changes, the
-// NaN-quarantine recapture path, arena-bound inference replay (the
-// ASan/UBSan CI job runs this binary to vet the liveness-based aliasing),
-// and the live-tape-node accounting behind the stale-tape capture assert.
+// off, 1 vs 4 threads, fused kernels on vs off, and T-AHC pre-training.
+// Also covers the replayed backward pass against a freshly taped graph, plan
+// invalidation on shape/knob changes, the NaN-quarantine recapture path,
+// arena-bound inference replay (the ASan/UBSan CI job runs this binary to
+// vet the liveness-based aliasing), and the live-tape-node accounting
+// behind the stale-tape capture assert.
 #include "tensor/plan.h"
 
 #include <cmath>
@@ -27,7 +27,6 @@
 #include "data/synthetic.h"
 #include "model/searched_model.h"
 #include "model/trainer.h"
-#include "search/evolutionary.h"
 #include "searchspace/parse.h"
 #include "searchspace/search_space.h"
 #include "tensor/fused.h"
@@ -183,34 +182,6 @@ TEST(PlanPretrainTest, ReplayBitExactVsEager) {
   EXPECT_GT(after.captures, before.captures);
   EXPECT_GT(after.replays, before.replays);
   ExpectSameParams(with_plans, PretrainedParams(false));
-}
-
-TEST(PlanSearchTest, RankingOutcomesPlanInvariant) {
-  // The evolutionary ranking (comparator inference plans, fanned out over a
-  // 4-thread pool) must produce the same win vectors with plans on and off.
-  KnobGuard knobs;
-  Comparator comp(SmallComparatorOptions(/*task_aware=*/false), 21);
-  comp.SetTraining(false);
-  JointSearchSpace space;
-  Rng sample_rng(31);
-  std::vector<ArchHyper> pool = space.SampleDistinct(24, &sample_rng);
-  ThreadPool threads(4);
-  EvolutionarySearcher searcher(&comp, &space, ExecContext{&threads, 0});
-  auto run = [&](bool plans_on) {
-    plan::SetPlansEnabled(plans_on);
-    Rng rng(7);
-    std::vector<int> sparse =
-        searcher.SparseWinCounts(pool, Tensor(), 4, 8, &rng);
-    std::vector<int> rr = searcher.RoundRobinWins(
-        {pool.begin(), pool.begin() + 6}, Tensor(), 8);
-    sparse.insert(sparse.end(), rr.begin(), rr.end());
-    return sparse;
-  };
-  const PlanStats before = ExecContext{}.plan_stats();
-  std::vector<int> with_plans = run(true);
-  const PlanStats after = ExecContext{}.plan_stats();
-  EXPECT_GT(after.captures, before.captures);
-  EXPECT_EQ(with_plans, run(false));
 }
 
 TEST(PlanStepTest, ReplayedBackwardMatchesFreshTape) {

@@ -1,7 +1,10 @@
 #include "search/evolutionary.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/runtime_config.h"
 #include "comparator/pretrain.h"
 
 namespace autocts {
@@ -137,6 +140,51 @@ TEST(EvolutionarySearchTest, TaskAwarePathRuns) {
   Tensor task_embed = Tensor::Randn({4}, &rng);
   std::vector<ArchHyper> top = searcher.SearchTopK(task_embed, TinySearch());
   EXPECT_EQ(top.size(), 3u);
+}
+
+TEST(EvolutionarySearchTest, WinsInvariantToBatchPoolAndPrecision) {
+  // Row-locality oracle: every comparator op is row-local, so a duel's
+  // logit does not depend on the batch size, on which duels share its
+  // batch, or on which pool thread scores it. Duel dedup and the serving
+  // layer's exact-size tail chunks rely on this; compare_batch 7 also puts
+  // batch boundaries mid-word in any packed outcome storage.
+  Comparator comp(SmallOptions(/*task_aware=*/true), 27);
+  comp.SetTraining(false);
+  JointSearchSpace space;
+  Rng sample_rng(28);
+  const std::vector<ArchHyper> pool = space.SampleDistinct(40, &sample_rng);
+  const std::vector<ArchHyper> finalists(pool.begin(), pool.begin() + 8);
+  const Tensor task_embed = Tensor::Randn({4}, &sample_rng);
+  for (ComparatorPrecision precision :
+       {ComparatorPrecision::kFp32, ComparatorPrecision::kBf16}) {
+    RuntimeConfig config;
+    config.comparator_precision = precision;
+    std::vector<int> reference;
+    for (int threads : {1, 4}) {
+      ThreadPool lanes(threads);
+      for (int batch : {1, 7, 64}) {
+        EvolutionarySearcher searcher(&comp, &space,
+                                      ExecContext{&lanes, 0, &config});
+        Rng rng(29);
+        std::vector<int> wins =
+            searcher.SparseWinCounts(pool, task_embed, 4, batch, &rng);
+        const std::vector<int> rr =
+            searcher.RoundRobinWins(finalists, task_embed, batch);
+        wins.insert(wins.end(), rr.begin(), rr.end());
+        if (reference.empty()) {
+          // A constant win vector would pass trivially; the seeded
+          // comparator must actually discriminate.
+          ASSERT_NE(*std::min_element(wins.begin(), wins.end()),
+                    *std::max_element(wins.begin(), wins.end()));
+          reference = wins;
+          continue;
+        }
+        EXPECT_EQ(wins, reference)
+            << ComparatorPrecisionName(precision) << ", " << threads
+            << " threads, compare_batch " << batch;
+      }
+    }
+  }
 }
 
 }  // namespace
